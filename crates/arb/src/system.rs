@@ -395,20 +395,33 @@ impl VersionedMemory for ArbSystem {
 
     fn check_invariants(&self, now: Cycle) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
-        // The address index and the row table must agree exactly.
+        // The address index and the row table must agree exactly: every
+        // row is either indexed under its own address or free.
+        let mut accounted = vec![false; self.rows.len()];
         for (&addr, &i) in &self.index {
-            if i >= self.rows.len() || self.rows[i].addr != addr {
-                out.push(InvariantViolation {
+            match self.rows.get(i) {
+                Some(row) if row.addr == addr => accounted[i] = true,
+                _ => out.push(InvariantViolation {
                     kind: InvariantKind::Structure,
                     pu: None,
                     line: None,
                     cycle: now,
                     detail: format!("index maps {addr} to row {i}, which does not track it"),
-                });
+                }),
             }
         }
+        for &i in &self.free {
+            if let Some(a) = accounted.get_mut(i) {
+                *a = true;
+            }
+        }
+        // A stage with load/store bits must belong to a running task, so
+        // only the stages of task-less PUs can be orphaned.
+        let idle: Vec<usize> = (0..self.assignments.num_pus())
+            .filter(|&p| self.assignments.task_of(PuId(p)).is_none())
+            .collect();
         for (i, row) in self.rows.iter().enumerate() {
-            if !self.free.contains(&i) && self.index.get(&row.addr) != Some(&i) {
+            if !accounted[i] {
                 out.push(InvariantViolation {
                     kind: InvariantKind::Structure,
                     pu: None,
@@ -417,9 +430,8 @@ impl VersionedMemory for ArbSystem {
                     detail: format!("row {i} tracking {} is not indexed", row.addr),
                 });
             }
-            // A stage with load/store bits must belong to a running task.
-            for (p, stage) in row.stages.iter().enumerate() {
-                if (stage.loaded || stage.stored) && self.assignments.task_of(PuId(p)).is_none() {
+            for &p in &idle {
+                if row.stages.get(p).is_some_and(|s| s.loaded || s.stored) {
                     out.push(InvariantViolation {
                         kind: InvariantKind::Orphan,
                         pu: Some(PuId(p)),
@@ -731,6 +743,35 @@ mod tests {
         assert!(
             found.iter().any(|v| v.kind == InvariantKind::Structure),
             "got {found:?}"
+        );
+    }
+
+    #[test]
+    fn watchdog_reports_every_corruption_in_row_order() {
+        let mut a = arb();
+        a.store(PuId(0), Addr(4), Word(5), Cycle(0)).unwrap();
+        a.load(PuId(1), Addr(8), Cycle(1)).unwrap();
+        a.commit(PuId(0), Cycle(2));
+        // Stage bits on the now task-less PU 0, then an unindexed row.
+        a.rows[1].stages[0].loaded = true;
+        assert!(a.fault_corrupt_row(Addr(8)));
+        let found: Vec<(InvariantKind, Option<PuId>, String)> = a
+            .check_invariants(Cycle(3))
+            .into_iter()
+            .map(|v| (v.kind, v.pu, v.detail))
+            .collect();
+        let row1 = |detail: &str| (InvariantKind::Structure, None, detail.to_string());
+        assert_eq!(
+            found,
+            [
+                row1("index maps 0x8 to row 1, which does not track it"),
+                row1("row 1 tracking 0x9 is not indexed"),
+                (
+                    InvariantKind::Orphan,
+                    Some(PuId(0)),
+                    "stage bits for PU0 in the row tracking 0x9 but no task assigned".to_string()
+                ),
+            ]
         );
     }
 

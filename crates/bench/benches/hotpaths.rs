@@ -3,7 +3,8 @@
 //! planning (`plan_read`/`plan_write`), VOL reconstruction from snooped
 //! snapshots, cache-array lookup and victim selection, and snooping-bus
 //! arbitration. Each runs thousands of times per simulated kilocycle,
-//! so these are the numbers that move `sim_cycles_per_sec`.
+//! so these are the numbers that move `sim_cycles_per_sec`. The SVC
+//! watchdog sweep runs far less often but costs far more per call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -13,7 +14,7 @@ use svc_mem::{Bus, CacheArray, CacheGeometry, Slot};
 use svc_multiscalar::{Engine, EngineConfig};
 use svc_sim::epoch::EpochPool;
 use svc_types::{Addr, Cycle, LineId, PlannedOp, PuId, TaskId, VersionedMemory};
-use svc_workloads::kernels;
+use svc_workloads::{kernels, Spec95};
 
 /// A realistic snooped line: two committed copies (one the head of the
 /// committed chain) and two uncommitted versions in task order, linked
@@ -184,6 +185,42 @@ fn warm_system() -> SvcSystem {
     engine.into_memory()
 }
 
+/// A final-design SVC of `pus` PUs (8KB each) paused `cycles` into the
+/// gcc model, wired as the experiment binaries wire it: caches full of
+/// shared lines, copies and versions.
+fn warm_gcc(pus: usize, cycles: u64) -> SvcSystem {
+    let wl = Spec95::Gcc.workload(7);
+    let cfg = EngineConfig {
+        num_pus: pus,
+        predictor: wl.profile().predictor(7),
+        seed: 7,
+        garbage_addr_space: wl.profile().hot_set.max(64),
+        load_dep_frac: wl.profile().load_dep_frac,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(cfg, SvcSystem::new(SvcConfig::final_design(pus)));
+    let done = engine.run_until(&wl, Some(cycles));
+    assert!(!done, "warm-up run must pause mid-flight");
+    engine.into_memory()
+}
+
+/// One full SVC invariant sweep (`check_invariants`) of a healthy warm
+/// system: the cost the watchdog pays at every commit and cadence
+/// boundary.
+fn watchdog(c: &mut Criterion) {
+    let mut g = c.benchmark_group("watchdog");
+    for (name, system) in [
+        ("svc_sweep_warm_4pu", warm_gcc(4, 20_000)),
+        ("svc_sweep_warm_64pu", warm_gcc(64, 20_000)),
+    ] {
+        assert!(system.check_invariants(Cycle(0)).is_empty());
+        g.bench_function(name, |bench| {
+            bench.iter(|| black_box(system.check_invariants(black_box(Cycle(0)))))
+        });
+    }
+    g.finish();
+}
+
 /// One full plan/merge epoch through `VersionedMemory::plan_batch`:
 /// detach the state, shard four predicted accesses over two lanes, plan
 /// each (snapshots + VOL + VCL), merge the tokens back in job order and
@@ -223,6 +260,7 @@ criterion_group!(
     bus,
     epoch_barrier,
     plan_batch,
-    conflict_set
+    conflict_set,
+    watchdog
 );
 criterion_main!(benches);

@@ -862,40 +862,16 @@ impl SvcSystem {
     // Watchdog access and fault drills
     // -----------------------------------------------------------------
 
-    /// Distinct tags of lines validly held by any cache, sorted (for the
-    /// invariant watchdog).
-    pub(crate) fn resident_lines(&self) -> Vec<LineId> {
-        let mut lines: Vec<LineId> = Vec::new();
-        for cache in &self.caches {
-            for l in cache.iter() {
-                if let Some(id) = l.line {
-                    if l.is_valid() {
-                        lines.push(id);
-                    }
-                }
-            }
-        }
-        lines.sort_unstable();
-        lines.dedup();
-        lines
+    /// Every PU's cache array, indexed by PU (for the invariant
+    /// watchdog's sweep). All share the configured geometry.
+    pub(crate) fn caches(&self) -> &[CacheArray<SvcLine>] {
+        &self.caches
     }
 
-    /// Whether `pu`'s copy of `line` has the exclusive (X) bit set.
-    pub(crate) fn line_exclusive(&self, pu: PuId, line: LineId) -> bool {
-        match self.caches[pu.index()].find(line) {
-            Some(r) => self.caches[pu.index()].slot(r).exclusive,
-            None => false,
-        }
-    }
-
-    /// Uncommitted valid lines still in `pu`'s cache (the post-squash
-    /// cleanliness check: there must be none).
-    pub(crate) fn speculative_lines_of(&self, pu: PuId) -> Vec<LineId> {
-        self.caches[pu.index()]
-            .iter()
-            .filter(|l| l.is_valid() && !l.committed)
-            .map(|l| l.line.expect("valid line has a tag"))
-            .collect()
+    /// Mutable cache arrays, for corrupting state in watchdog tests.
+    #[cfg(test)]
+    pub(crate) fn caches_mut(&mut self) -> &mut [CacheArray<SvcLine>] {
+        &mut self.caches
     }
 
     /// Number of uncommitted valid lines in `pu`'s cache (the gauge the

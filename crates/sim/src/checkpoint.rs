@@ -24,6 +24,7 @@
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use svc_types::{CkptError, StateHasher};
 
@@ -110,13 +111,15 @@ pub fn decode(bytes: &[u8]) -> Result<(String, Vec<u8>), CkptError> {
 }
 
 /// Writes `bytes` to `path` crash-atomically: the data lands in a
-/// temporary sibling (`<name>.tmp`), is fsync'd, and is renamed over the
-/// final name, so a reader (or a crash at any point) sees either the old
-/// complete file or the new complete file — never a torn mix. The parent
-/// directory is fsync'd afterwards on a best-effort basis so the rename
-/// itself survives power loss.
+/// temporary sibling (`<name>.<pid>.<seq>.tmp`, unique per process and
+/// call), is fsync'd, and is renamed over the final name, so a reader (or
+/// a crash at any point) sees either the old complete file or the new
+/// complete file — never a torn mix — however many threads and processes
+/// write `path` at once. The parent directory is fsync'd afterwards on a
+/// best-effort basis so the rename itself survives power loss, and
+/// `<name>.*.tmp` siblings left by writers that have exited are removed.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
+    let tmp = unique_sibling(path, "tmp");
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
@@ -126,20 +129,74 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = fs::remove_file(&tmp);
         return Err(e);
     }
-    if let Some(dir) = path.parent() {
-        // Directory fsync is advisory: not all filesystems support
-        // opening a directory for sync, and the rename is already atomic.
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
+    let dir = parent_dir(path);
+    // Directory fsync is advisory: not all filesystems support opening a
+    // directory for sync, and the rename is already atomic.
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    let name = path.file_name().and_then(|n| n.to_str());
+    if let (Ok(entries), Some(name)) = (fs::read_dir(dir), name) {
+        for entry in entries.flatten() {
+            let stale = entry
+                .file_name()
+                .to_str()
+                .and_then(tmp_writer)
+                .is_some_and(|(target, pid)| target == name && !writer_alive(pid));
+            if stale {
+                let _ = fs::remove_file(entry.path());
+            }
         }
     }
     Ok(())
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
+/// Checks that `dir` accepts [`write_atomic`] writes by writing and
+/// removing a probe file there. The probe's name is unique per process
+/// and call, so concurrent probes of one directory never collide.
+pub fn probe_writable(dir: &Path) -> io::Result<()> {
+    let probe = unique_sibling(&dir.join(".svc-write-probe"), "probe");
+    write_atomic(&probe, b"probe")?;
+    fs::remove_file(&probe)
+}
+
+/// Orders the names [`unique_sibling`] hands out within this process.
+static SIBLING_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// `<name>.<pid>.<seq>.<ext>` next to `path`: no other call, in this
+/// process or another, gets the same name.
+fn unique_sibling(path: &Path, ext: &str) -> PathBuf {
+    let seq = SIBLING_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
+    name.push(format!(".{}.{seq}.{ext}", std::process::id()));
     path.with_file_name(name)
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+pub fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    }
+}
+
+/// The target name and writer pid of a temporary file named
+/// `<target>.<pid>.<seq>.tmp` by [`write_atomic`].
+fn tmp_writer(file: &str) -> Option<(&str, u32)> {
+    let mut parts = file.strip_suffix(".tmp")?.rsplitn(3, '.');
+    let seq = parts.next()?;
+    let pid = parts.next()?.parse().ok()?;
+    let target = parts.next()?;
+    seq.parse::<u64>().ok()?;
+    Some((target, pid))
+}
+
+/// Whether process `pid` may still be writing. Without `/proc` there is
+/// no portable probe, so every writer counts as live.
+fn writer_alive(pid: u32) -> bool {
+    pid == std::process::id()
+        || !Path::new("/proc/self").exists()
+        || Path::new("/proc").join(pid.to_string()).exists()
 }
 
 /// One decoded checkpoint pulled from a [`CheckpointRing`].
@@ -184,8 +241,8 @@ pub struct CheckpointRing {
 impl CheckpointRing {
     /// Opens (creating if needed) a ring at `dir` retaining `keep`
     /// checkpoints. Stale `.tmp` files from an interrupted writer are
-    /// removed; existing checkpoints are kept and the sequence continues
-    /// after the highest one found.
+    /// removed (a live writer's are left alone); existing checkpoints are
+    /// kept and the sequence continues after the highest one found.
     ///
     /// # Panics
     ///
@@ -200,7 +257,13 @@ impl CheckpointRing {
         }
         for entry in fs::read_dir(dir)? {
             let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "tmp") {
+            let Some(file) = path.file_name().and_then(|f| f.to_str()) else {
+                continue;
+            };
+            // A tmp file without a writer pid predates per-writer names.
+            let stale = file.ends_with(".tmp")
+                && tmp_writer(file).is_none_or(|(_, pid)| !writer_alive(pid));
+            if stale {
                 let _ = fs::remove_file(&path);
             }
         }
@@ -406,7 +469,58 @@ mod tests {
         write_atomic(&path, b"first").unwrap();
         write_atomic(&path, b"second").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
-        assert!(!tmp_sibling(&path).exists());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "tmp file left");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tmp_names_are_unique_and_parse_back() {
+        let path = Path::new("dir/out.json");
+        let (a, b) = (unique_sibling(path, "tmp"), unique_sibling(path, "tmp"));
+        assert_ne!(a, b);
+        let name = a.file_name().unwrap().to_str().unwrap();
+        assert_eq!(tmp_writer(name), Some(("out.json", std::process::id())));
+        assert_eq!(tmp_writer("out.json.tmp"), None);
+        assert_eq!(tmp_writer("out.json.12.x.tmp"), None);
+    }
+
+    /// A pid no process holds: that of a child that has been reaped.
+    fn dead_pid() -> u32 {
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let pid = child.id();
+        child.wait().unwrap();
+        pid
+    }
+
+    #[test]
+    fn dead_writers_tmp_siblings_are_removed() {
+        if !Path::new("/proc/self").exists() {
+            return; // no liveness probe: every writer counts as live
+        }
+        let dir = scratch("stale");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        let dead = dir.join(format!("out.json.{}.0.tmp", dead_pid()));
+        let live = dir.join(format!("out.json.{}.999.tmp", std::process::id()));
+        let other = dir.join(format!("other.json.{}.0.tmp", dead_pid()));
+        for f in [&dead, &live, &other] {
+            fs::write(f, b"half").unwrap();
+        }
+        write_atomic(&path, b"whole").unwrap();
+        assert!(!dead.exists() && live.exists() && other.exists());
+        CheckpointRing::open(&dir, 1).unwrap();
+        assert!(live.exists() && !other.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn probes_leave_nothing_behind() {
+        let dir = scratch("probe");
+        fs::create_dir_all(&dir).unwrap();
+        probe_writable(&dir).unwrap();
+        probe_writable(&dir).unwrap();
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        assert!(probe_writable(&dir.join("missing")).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -528,15 +528,9 @@ fn restore_run_header(r: &mut CkptReader<'_>) -> Result<Options, CkptError> {
 /// a typed I/O failure (exit 3) *before* hours of simulation, not a
 /// panic at the first flush.
 fn probe_writable(path: &std::path::Path) -> Result<(), CliError> {
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| CliError::io(dir.display(), e))?;
-    let probe = dir.join(".svc-write-probe");
-    checkpoint::write_atomic(&probe, b"probe")
-        .and_then(|()| std::fs::remove_file(&probe))
-        .map_err(|e| CliError::io(dir.display(), e))
+    let dir = checkpoint::parent_dir(path);
+    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir.display(), e))?;
+    checkpoint::probe_writable(dir).map_err(|e| CliError::io(dir.display(), e))
 }
 
 /// Drives a prepared engine to completion, atomically rewriting the
