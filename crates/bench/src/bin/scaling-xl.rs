@@ -1,13 +1,11 @@
 //! Extra-large scaling study: the SVC sharded far past the paper's
-//! 4-8 PU design point (64/128/256 PUs), where a single simulated
-//! machine is big enough that one grid cell is hours of sequential
-//! simulation at full budget. This is the experiment family the
-//! parallel engine exists for:
+//! 4-8 PU design point (64/128/256 PUs), where one simulated machine is
+//! big enough that a single grid cell dominates the sweep's wall-clock.
+//! Each cell runs sequentially; the harness fans the cells out over
+//! cores (`SVC_EXPERIMENT_THREADS`), and:
 //!
-//! * `SVC_ENGINE_THREADS=N` shards each machine's per-cycle access
-//!   planning across N lanes — byte-identical artifacts at any N;
 //! * `SVC_GRID_JOURNAL=dir` journals finished cells, so an interrupted
-//!   multi-billion-cycle sweep resumes from the completed cells;
+//!   long sweep resumes from the completed cells;
 //! * `SVC_EXPERIMENT_BUDGET=N` scales the per-cell instruction budget
 //!   (the committed default keeps regeneration tractable; push it up
 //!   for the long-haul runs).

@@ -42,6 +42,8 @@ pub const SCHEMA_EXPERIMENT_V2: &str = "svc-experiments/v2";
 /// [`rotate_snapshot`]) and `speedup` (per-experiment and aggregate
 /// simulated-cycles-per-second ratios of `experiments` over
 /// `previous`). v1 documents parse fine: both sections are absent.
+/// v3 entries add `host_cores`. Older v3 entries also carry a legacy
+/// `engine_threads` key: it still parses but is no longer written.
 pub const SCHEMA_SNAPSHOT: &str = "svc-bench-snapshot/v3";
 /// Schema tag of `results/<name>.profile.json` cycle-accounting
 /// documents (emitted only when `SVC_PROFILE` is set).
@@ -708,7 +710,7 @@ pub fn experiment_doc(name: &str, budget: u64, grid_seed: u64, runs: Vec<Json>) 
         .set("runs", Json::Arr(runs))
 }
 
-/// One [`JobFailure`] as `{index, seed, kind, detail, attempts}`.
+/// One [`JobFailure`](crate::harness::JobFailure) as `{index, seed, kind, detail, attempts}`.
 pub fn job_failure_json(f: &crate::harness::JobFailure) -> Json {
     Json::obj()
         .set("index", f.index.into())
@@ -786,8 +788,6 @@ pub struct SelfMeasurement {
     pub wall_s: f64,
     /// Harness worker threads used (inter-run parallelism).
     pub threads: usize,
-    /// Engine lanes per run (intra-run parallelism, `SVC_ENGINE_THREADS`).
-    pub engine_threads: usize,
     /// Logical cores on the measuring host.
     pub host_cores: usize,
     /// Grid cells executed.
@@ -800,8 +800,8 @@ pub struct SelfMeasurement {
 
 impl SelfMeasurement {
     /// Aggregates a grid's engine reports plus the harness timing.
-    /// `engine_threads` and `host_cores` come from the environment: the
-    /// measurement describes the conditions the wall clock ran under.
+    /// `host_cores` comes from the environment: the measurement
+    /// describes the host the wall clock ran on.
     pub fn from_reports<'a>(
         reports: impl Iterator<Item = &'a RunReport>,
         wall_s: f64,
@@ -818,7 +818,6 @@ impl SelfMeasurement {
         SelfMeasurement {
             wall_s,
             threads,
-            engine_threads: svc_multiscalar::engine_threads_from_env(),
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             jobs,
             sim_cycles,
@@ -848,7 +847,6 @@ impl SelfMeasurement {
         Json::obj()
             .set("wall_s", self.wall_s.into())
             .set("threads", self.threads.into())
-            .set("engine_threads", self.engine_threads.into())
             .set("host_cores", self.host_cores.into())
             .set("jobs", self.jobs.into())
             .set("sim_cycles", self.sim_cycles.into())
@@ -1073,12 +1071,19 @@ mod tests {
         assert_eq!(parse(&degraded.render()).expect("parses"), degraded);
     }
 
+    /// A fresh per-process scratch directory, so concurrent test runs
+    /// never share (or delete) each other's snapshot files.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("svc-report-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("tmp");
+        dir
+    }
+
     #[test]
     fn rotate_then_record_computes_speedup() {
-        let dir = std::env::temp_dir().join("svc_report_rotate_test");
-        std::fs::create_dir_all(&dir).expect("tmp");
+        let dir = scratch("rotate");
         let path = dir.join("BENCH_experiments.json");
-        let _ = std::fs::remove_file(&path);
 
         // Rotating a missing snapshot is a no-op.
         rotate_snapshot_at(&path).expect("rotate missing");
@@ -1087,7 +1092,6 @@ mod tests {
         let slow = SelfMeasurement {
             wall_s: 2.0,
             threads: 1,
-            engine_threads: 1,
             host_cores: 8,
             jobs: 2,
             sim_cycles: 1000,
@@ -1140,14 +1144,14 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(1.0)
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn v2_snapshot_rotates_and_speeds_up_against_v3() {
         // A committed snapshot from before the schema bump: entries
-        // carry no engine_threads/host_cores and the old schema tag.
-        let dir = std::env::temp_dir().join("svc_report_v2_compat_test");
-        std::fs::create_dir_all(&dir).expect("tmp");
+        // carry no host_cores and the old schema tag.
+        let dir = scratch("v2-compat");
         let path = dir.join("BENCH_experiments.json");
         let v2_entry = Json::obj()
             .set("wall_s", 2.0.into())
@@ -1177,7 +1181,6 @@ mod tests {
         let fast = SelfMeasurement {
             wall_s: 1.0,
             threads: 1,
-            engine_threads: 2,
             host_cores: 8,
             jobs: 2,
             sim_cycles: 1000,
@@ -1189,29 +1192,59 @@ mod tests {
             .get("experiments")
             .and_then(|e| e.get("table2"))
             .unwrap();
-        assert_eq!(
-            entry.get("engine_threads").and_then(Json::as_f64),
-            Some(2.0)
-        );
         assert_eq!(entry.get("host_cores").and_then(Json::as_f64), Some(8.0));
+        assert!(entry.get("engine_threads").is_none(), "legacy key written");
         assert_eq!(
             doc.get("speedup")
                 .and_then(|s| s.get("aggregate"))
                 .and_then(Json::as_f64),
             Some(2.0)
         );
+
+        // A v3 snapshot written before the legacy `engine_threads` key
+        // was dropped (as the committed one is) rotates the same way,
+        // and a fresh measurement without the key speeds up against it.
+        let legacy_entry = Json::obj()
+            .set("wall_s", 4.0.into())
+            .set("threads", 1.0.into())
+            .set("engine_threads", 8.0.into())
+            .set("host_cores", 1.0.into())
+            .set("jobs", 2.0.into())
+            .set("sim_cycles", 1000.0.into())
+            .set("committed_instrs", 500.0.into())
+            .set("sim_cycles_per_sec", 250.0.into())
+            .set("committed_instrs_per_sec", 125.0.into());
+        let legacy = Json::obj()
+            .set("schema", "svc-bench-snapshot/v3".into())
+            .set("experiments", Json::obj().set("table3", legacy_entry));
+        std::fs::write(&path, legacy.render()).expect("seed legacy v3 snapshot");
+        rotate_snapshot_at(&path).expect("rotate legacy v3");
+        record_snapshot_at(&path, "table3", fast).expect("record v3");
+        let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
+        assert_eq!(
+            doc.get("previous")
+                .and_then(|p| p.get("table3"))
+                .and_then(|t| t.get("engine_threads"))
+                .and_then(Json::as_f64),
+            Some(8.0),
+            "rotation keeps the legacy entry unchanged"
+        );
+        assert_eq!(
+            doc.get("speedup")
+                .and_then(|s| s.get("aggregate"))
+                .and_then(Json::as_f64),
+            Some(4.0)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn snapshot_merge_keeps_other_entries() {
-        let dir = std::env::temp_dir().join("svc_report_test");
-        std::fs::create_dir_all(&dir).expect("tmp");
+        let dir = scratch("merge");
         let path = dir.join("BENCH_experiments.json");
-        let _ = std::fs::remove_file(&path);
         let m = SelfMeasurement {
             wall_s: 1.0,
             threads: 4,
-            engine_threads: 2,
             host_cores: 8,
             jobs: 2,
             sim_cycles: 1000,
@@ -1226,5 +1259,6 @@ mod tests {
             doc.get("schema").and_then(Json::as_str),
             Some(SCHEMA_SNAPSHOT)
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

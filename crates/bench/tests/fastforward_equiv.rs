@@ -11,8 +11,9 @@
 use svc_bench::harness::job_seeds;
 use svc_bench::report::{self, Json};
 use svc_bench::{
-    cross, run_derived_grid, run_spec95_with, ExperimentResult, MemoryKind, PAPER_SEED,
+    cross, run_derived_grid, run_source, run_spec95_with, ExperimentResult, MemoryKind, PAPER_SEED,
 };
+use svc_multiscalar::EngineConfig;
 use svc_workloads::Spec95;
 
 /// The regression gate's pinned 12-cell grid (`regress.rs` constants),
@@ -102,6 +103,24 @@ fn profiled_cell() -> String {
     )
 }
 
+/// One big-machine cell at the scaling-xl family's smallest PU count
+/// (64), on a saturated bus. Some PU has work on every cycle here, so
+/// the idle check must scale to 64 PUs without ever jumping.
+fn high_pu_cell() -> String {
+    let wl = Spec95::Ijpeg.workload(PAPER_SEED);
+    let cfg = EngineConfig {
+        num_pus: 64,
+        predictor: wl.profile().predictor(PAPER_SEED),
+        max_instructions: 30_000,
+        seed: PAPER_SEED,
+        garbage_addr_space: wl.profile().hot_set.max(64),
+        load_dep_frac: wl.profile().load_dep_frac,
+        ..EngineConfig::default()
+    };
+    let result = run_source(&wl, MemoryKind::Svc { kb_per_cache: 8 }, cfg);
+    cell_json(&result)
+}
+
 #[test]
 fn fastforward_is_byte_identical_to_cycle_by_cycle() {
     // Reference pass: cycle-by-cycle stepping.
@@ -109,12 +128,14 @@ fn fastforward_is_byte_identical_to_cycle_by_cycle() {
     let slow_grid = grid_doc();
     let slow_faulted = faulted_cell();
     let slow_profiled = profiled_cell();
+    let slow_high_pu = high_pu_cell();
 
     // Fast pass: idle-cycle jumps enabled (the default).
     set_fastforward(true);
     let fast_grid = grid_doc();
     let fast_faulted = faulted_cell();
     let fast_profiled = profiled_cell();
+    let fast_high_pu = high_pu_cell();
 
     assert_eq!(
         slow_grid, fast_grid,
@@ -127,6 +148,10 @@ fn fastforward_is_byte_identical_to_cycle_by_cycle() {
     assert_eq!(
         slow_profiled, fast_profiled,
         "fast-forward changed a profiled cell or its stall attribution"
+    );
+    assert_eq!(
+        slow_high_pu, fast_high_pu,
+        "fast-forward changed the 64-PU cell"
     );
 
     // Sanity: the documents carry real runs, not empty grids.

@@ -69,7 +69,7 @@ impl SvcSystem {
     pub fn dump_line(&self, addr: Addr) -> String {
         let g = self.config().geometry;
         let line = g.line_of(addr);
-        let snaps = self.snapshots_of(line);
+        let snaps = self.snapshots(line);
         let mut out = format!("line {line} (addr {addr}):\n");
         for s in &snaps {
             let task = match s.task {
